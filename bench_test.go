@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"steins/internal/bmt"
 	"steins/internal/bmtctrl"
@@ -634,6 +635,67 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServerCheckpoint measures a serving-layer checkpoint round
+// trip: EncodeServer of a captured pool state plus DecodeServer of its
+// bytes, the gob work a daemon's drain and restart pay. The pool is
+// Steins-GC, 2 PGs over 4 MiB with a 32 KiB metadata cache per PG, with
+// every block written once, so the device and tag images that grow with
+// the pool are fully populated.
+func BenchmarkServerCheckpoint(b *testing.B) {
+	const poolBytes = 4 << 20
+	p, err := server.NewPool(server.Config{Tenants: []server.TenantConfig{{
+		Name: "bench", Scheme: securemem.SteinsGC, PGs: 2, PoolBytes: poolBytes,
+		MetaCacheBytes: 32 << 10,
+	}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	specs := make([]server.OpSpec, 0, server.DefaultBatchOps)
+	for a := uint64(0); a < poolBytes; a += securemem.BlockSize {
+		spec := server.OpSpec{IsWrite: true, Addr: a}
+		spec.Data[0], spec.Data[1] = byte(a>>6), byte(a>>14)
+		if specs = append(specs, spec); len(specs) < cap(specs) && a+securemem.BlockSize < poolBytes {
+			continue
+		}
+		ops, aerr := p.Do("bench", specs)
+		if aerr != nil {
+			b.Fatal(aerr)
+		}
+		for _, op := range ops {
+			if op.Err != nil {
+				b.Fatal(op.Err)
+			}
+		}
+		specs = specs[:0]
+	}
+	st, err := p.State()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var size int
+	var enc, dec time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		wire, err := snapshot.EncodeServer(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if _, err := snapshot.DecodeServer(bytes.NewReader(wire)); err != nil {
+			b.Fatal(err)
+		}
+		enc, dec = enc+t1.Sub(t0), dec+time.Since(t1)
+		size = len(wire)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(size), "snapshot_bytes")
+	b.ReportMetric(float64(enc.Nanoseconds())/float64(b.N), "encode_ns/op")
+	b.ReportMetric(float64(dec.Nanoseconds())/float64(b.N), "decode_ns/op")
 }
 
 // BenchmarkAblationBMTSystem contrasts the full BMT-based controller with

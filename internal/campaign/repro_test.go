@@ -1,9 +1,18 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"steins/internal/nvmem"
+	"steins/internal/snapshot"
 )
 
 // The two minimized boundary cases the campaign found once degraded-mode
@@ -131,6 +140,49 @@ func TestReplayBoundaryArtifactRoundTrip(t *testing.T) {
 		}
 		if string(again) != string(data) {
 			t.Fatalf("case %d: artifact codec not canonical", a.Case.Index)
+		}
+	}
+}
+
+// TestCommittedCorpusDecodes pins the committed FuzzCampaignSchedule
+// seeds as readable repro artifacts: each seed-NN file is a repro
+// envelope at the kind's current version (still 1: the repro payload is
+// not gob and embeds no controller state), decodes to exactly
+// corpusArtifacts()[NN], and re-encodes to the same bytes; the
+// replay-under-torn boundary seed replays to its recorded verdict and
+// detail. A format change that breaks this must not be papered over by
+// regenerating the corpus.
+func TestCommittedCorpusDecodes(t *testing.T) {
+	for i, want := range corpusArtifacts() {
+		name := fmt.Sprintf("seed-%02d", i)
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCampaignSchedule", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+		s, err := strconv.Unquote(quoted)
+		if err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus file: %v", name, err)
+		}
+		data := []byte(s)
+		if v := binary.LittleEndian.Uint32(data[8:]); v != 1 || v != snapshot.Version(snapshot.KindRepro) {
+			t.Fatalf("%s: envelope version %d, repro reader at %d", name, v, snapshot.Version(snapshot.KindRepro))
+		}
+		got, err := DecodeArtifact(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s decodes to\n%+v\nwant\n%+v", name, got, want)
+		}
+		again, err := EncodeArtifact(got)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%s: re-encode differs (err %v)", name, err)
+		}
+		if reflect.DeepEqual(want, reproReplayUnderTornWrite()) {
+			if res, ok := Replay(got); !ok || res.Detail != want.Detail {
+				t.Fatalf("%s: replay gave %v %q, want %v %q", name, res.Verdict, res.Detail, want.Verdict, want.Detail)
+			}
 		}
 	}
 }

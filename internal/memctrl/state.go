@@ -31,15 +31,6 @@ type PolicyState interface {
 	LoadState(data []byte) error
 }
 
-// TagState is one data line's co-located authentication tag.
-type TagState struct {
-	Addr uint64
-	Tag  cme.Tag
-}
-
-// ControllerState is the full serializable controller image. The
-// configuration and the crypto engine are not captured: the restoring side
-// rebuilds the controller via New from the same Config.
 // QuarantineState is one quarantined leaf's arbitration record.
 type QuarantineState struct {
 	Leaf     uint64
@@ -57,9 +48,19 @@ type EscalationState struct {
 	Count uint64
 }
 
+// ControllerState is the full serializable controller image. The
+// configuration and the crypto engine are not captured: the restoring side
+// rebuilds the controller via New from the same Config.
 type ControllerState struct {
-	Tags        []TagState // sorted by address
-	Quarantined []uint64   // sorted leaf indices
+	// TagAddrs are the data lines with a non-zero tag, ascending; the
+	// other Tag columns hold each line's cme.Tag fields. Flat columns, like
+	// the device image's, so gob encodes them in bulk.
+	TagAddrs   []uint64
+	TagMACs    []uint64
+	TagHints   []uint64
+	TagWritten []bool
+	// Quarantined holds the sorted quarantined leaf indices.
+	Quarantined []uint64
 	// QuarInfo carries the arbitration record and re-admission mask of each
 	// quarantined leaf that has one, sorted by leaf index.
 	QuarInfo []QuarantineState
@@ -119,7 +120,10 @@ func (c *Controller) State() (*ControllerState, error) {
 	// map misses were; Tag() returns the zero value either way.
 	c.tags.ForEach(func(line uint64, t *cme.Tag) {
 		if *t != (cme.Tag{}) {
-			st.Tags = append(st.Tags, TagState{Addr: line * nvmem.LineSize, Tag: *t})
+			st.TagAddrs = append(st.TagAddrs, line*nvmem.LineSize)
+			st.TagMACs = append(st.TagMACs, t.MAC)
+			st.TagHints = append(st.TagHints, t.Hint)
+			st.TagWritten = append(st.TagWritten, t.Written)
 		}
 	})
 	for w, set := range c.quarBits {
@@ -164,15 +168,31 @@ func (c *Controller) State() (*ControllerState, error) {
 // must have been built by New from the same Config and scheme factory as
 // the captured one; mismatches surface as scheme-state errors or later
 // divergence. The metrics collector is re-created when the state carries
-// one; fault hooks are left for the harness to re-register.
+// one; fault hooks are left for the harness to re-register. Malformed tag
+// or device columns are rejected with a *nvmem.StateError before anything
+// is mutated.
 func (c *Controller) Restore(st *ControllerState) error {
-	c.dev.Restore(st.Device)
+	n := len(st.TagAddrs)
+	for _, err := range []error{
+		nvmem.CheckAddrs("TagAddrs", st.TagAddrs, c.dev.Config().CapacityBytes),
+		nvmem.CheckColumn("TagMACs", len(st.TagMACs), n),
+		nvmem.CheckColumn("TagHints", len(st.TagHints), n),
+		nvmem.CheckColumn("TagWritten", len(st.TagWritten), n),
+	} {
+		if err != nil {
+			return fmt.Errorf("memctrl: %w", err)
+		}
+	}
+	if err := c.dev.Restore(st.Device); err != nil {
+		return fmt.Errorf("memctrl: device: %w", err)
+	}
 	// Drop any deferred tag MACs of the pre-restore run; they belong to
 	// tag slots the restore is about to overwrite.
 	c.eng.DropPendingTags()
 	c.tags.Reset()
-	for _, t := range st.Tags {
-		*c.tags.Ptr(t.Addr / nvmem.LineSize) = t.Tag
+	for i, addr := range st.TagAddrs {
+		*c.tags.Ptr(addr / nvmem.LineSize) = cme.Tag{
+			MAC: st.TagMACs[i], Hint: st.TagHints[i], Written: st.TagWritten[i]}
 	}
 	c.quarBits = nil
 	c.quarN = 0

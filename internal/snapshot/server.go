@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"steins/internal/memctrl"
 )
@@ -49,15 +48,21 @@ type ServerState struct {
 
 // EncodeServer serializes a server state into KindServer envelope bytes.
 func EncodeServer(st *ServerState) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return nil, fmt.Errorf("snapshot: encode server state: %w", err)
-	}
 	var out bytes.Buffer
-	if err := WriteEnvelope(&out, KindServer, payload.Bytes()); err != nil {
+	if err := writeServer(&out, st); err != nil {
 		return nil, err
 	}
 	return out.Bytes(), nil
+}
+
+// writeServer gob-encodes the server state and writes it to w in a
+// KindServer envelope.
+func writeServer(w io.Writer, st *ServerState) error {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
+		return fmt.Errorf("snapshot: encode server state: %w", err)
+	}
+	return WriteEnvelope(w, KindServer, payload.Bytes())
 }
 
 // DecodeServer reads a KindServer envelope and decodes the server state.
@@ -75,38 +80,12 @@ func DecodeServer(r io.Reader) (*ServerState, error) {
 	return st, nil
 }
 
-// SaveServerFile atomically writes a server checkpoint: temp file in the
-// target directory, then rename, so a crash mid-save can never truncate
-// the previous good checkpoint.
+// SaveServerFile atomically writes a server checkpoint: the envelope is
+// streamed into a temp file in the target directory, then renamed over
+// path, so a crash mid-save can never truncate the previous good
+// checkpoint.
 func SaveServerFile(path string, st *ServerState) error {
-	data, err := EncodeServer(st)
-	if err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	// CreateTemp opens 0600; keep the 0644 the plain-create path used.
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return nil
+	return saveAtomic(path, func(w io.Writer) error { return writeServer(w, st) })
 }
 
 // LoadServerFile reads a server checkpoint file.

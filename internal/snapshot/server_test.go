@@ -2,14 +2,19 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"steins/internal/crashfuzz"
 	"steins/internal/memctrl"
+	"steins/internal/nvmem"
 	"steins/internal/scheme/steins"
+	"steins/internal/server"
 	"steins/internal/snapshot"
+	"steins/securemem"
 )
 
 // serverStateFixture builds a two-tenant server state from live
@@ -157,5 +162,132 @@ func TestSaveServerFileAtomicReplace(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries after saves, want 1", len(entries))
+	}
+}
+
+// TestRestoreStateRejectsMalformedColumns is the serving-layer half of
+// the column table: a CRC-valid KindServer checkpoint with one malformed
+// column must make Pool.RestoreState fail with the typed
+// *nvmem.StateError naming the column, never panic, and leave the pool
+// exactly as it was.
+func TestRestoreStateRejectsMalformedColumns(t *testing.T) {
+	const poolBytes = 2 * 64 * 64
+	cfg := server.Config{Tenants: []server.TenantConfig{{
+		Name: "kv", Scheme: securemem.SteinsGC, PGs: 2, PoolBytes: poolBytes,
+	}}}
+	src, err := server.NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	var specs []server.OpSpec
+	for a := uint64(0); a < poolBytes; a += securemem.BlockSize {
+		spec := server.OpSpec{IsWrite: true, Addr: a}
+		spec.Data[0] = byte(a >> 6)
+		specs = append(specs, spec)
+	}
+	if _, aerr := src.Do("kv", specs); aerr != nil {
+		t.Fatal(aerr)
+	}
+	good, err := src.StateBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range snapshot.MalformedColumns {
+		tc := tc
+		t.Run(tc.Name, func(t *testing.T) {
+			st, err := snapshot.DecodeServer(bytes.NewReader(good))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.Cut(&st.Tenants[0].PGs[0].Channels[0])
+			wire, err := snapshot.EncodeServer(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := snapshot.DecodeServer(bytes.NewReader(wire))
+			if err != nil {
+				t.Fatalf("malformed column must pass the envelope, got %v", err)
+			}
+			dst, err := server.NewPool(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Close()
+			before, err := dst.StateBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = dst.RestoreState(back)
+			var se *nvmem.StateError
+			if !errors.As(err, &se) || se.Column != tc.Column {
+				t.Fatalf("RestoreState error %v does not name column %s", err, tc.Column)
+			}
+			after, err := dst.StateBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("rejected checkpoint mutated the pool")
+			}
+		})
+	}
+}
+
+// TestVersionPerKind pins the per-kind format versions. A run, server or
+// crashfuzz-campaign checkpoint from a version-1 build (one gob struct per
+// line and per tag) must be refused with ErrVersion, not decoded into
+// structs whose columns gob would silently leave empty; the adversarial
+// and repro kinds, whose payloads did not change, stay at version 1.
+func TestVersionPerKind(t *testing.T) {
+	for kind, want := range map[uint32]uint32{
+		snapshot.KindRun: 2, snapshot.KindCampaign: 2, snapshot.KindServer: 2,
+		snapshot.KindAdversarial: 1, snapshot.KindRepro: 1,
+	} {
+		if got := snapshot.Version(kind); got != want {
+			t.Errorf("kind %d is at version %d, want %d", kind, got, want)
+		}
+	}
+	asV1 := func(b []byte) []byte {
+		b = append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(b[8:], 1)
+		return b
+	}
+
+	var run bytes.Buffer
+	if err := snapshot.Write(&run, &snapshot.RunState{Header: snapshot.RunHeader{Workload: "pers_queue", Scheme: "Steins-GC"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.Read(bytes.NewReader(run.Bytes())); err != nil {
+		t.Fatalf("current run envelope: %v", err)
+	}
+	if _, err := snapshot.Read(bytes.NewReader(asV1(run.Bytes()))); !errors.Is(err, snapshot.ErrVersion) {
+		t.Errorf("v1 run envelope: err = %v, want ErrVersion", err)
+	}
+
+	srv, err := snapshot.EncodeServer(serverStateFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.DecodeServer(bytes.NewReader(asV1(srv))); !errors.Is(err, snapshot.ErrVersion) {
+		t.Errorf("v1 server envelope: err = %v, want ErrVersion", err)
+	}
+
+	path := filepath.Join(t.TempDir(), "campaign.snap")
+	if err := crashfuzz.WriteCampaign(path, &crashfuzz.CampaignState{Scheme: "Steins-GC"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := crashfuzz.ReadCampaign(path); err != nil {
+		t.Fatalf("current campaign envelope: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, asV1(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := crashfuzz.ReadCampaign(path); !errors.Is(err, snapshot.ErrVersion) {
+		t.Errorf("v1 campaign envelope: err = %v, want ErrVersion", err)
 	}
 }

@@ -6,9 +6,10 @@
 // snapshot and driven to completion produces byte-identical metrics JSON
 // to the uninterrupted run, at any worker count and under any fault seed.
 //
-// On-disk format: an 8-byte magic, a little-endian uint32 format version,
-// a little-endian uint64 payload length, a little-endian uint32 IEEE
-// CRC-32 of the payload, then the gob-encoded RunState. Every map in the
+// On-disk format: an 8-byte magic, a little-endian uint32 format version
+// (versioned per payload kind), a little-endian uint32 payload kind, a
+// little-endian uint64 payload length, a little-endian uint32 IEEE CRC-32
+// of the payload, then the gob-encoded RunState. Every map in the
 // captured state is flattened to an address-sorted slice before encoding,
 // so identical states produce identical bytes.
 package snapshot
@@ -30,10 +31,6 @@ import (
 	"steins/internal/sim"
 	"steins/internal/trace"
 )
-
-// Version is the current snapshot format version. Readers reject any
-// other version with ErrVersion.
-const Version = 1
 
 // magic identifies a snapshot file.
 var magic = [8]byte{'S', 'T', 'E', 'I', 'N', 'S', 'N', 'P'}
@@ -57,6 +54,26 @@ const (
 	// groups and their channel controllers (see server.go).
 	KindServer uint32 = 5
 )
+
+// versions holds each payload kind's current format version. A kind's
+// version moves whenever its payload encoding changes, and readers reject
+// any other version with ErrVersion: gob silently drops fields it does not
+// know, so an old payload decoded into the new structs would otherwise
+// "restore" an empty device. Version 2 of the run, campaign and server
+// kinds stores the controller's tags and the device's per-line images as
+// flat columns (see nvmem.State); the adversarial and repro kinds embed
+// no controller state and are still at version 1.
+var versions = map[uint32]uint32{
+	KindRun:         2,
+	KindCampaign:    2,
+	KindAdversarial: 1,
+	KindRepro:       1,
+	KindServer:      2,
+}
+
+// Version returns the current format version of a payload kind, or 0 for
+// an unknown kind.
+func Version(kind uint32) uint32 { return versions[kind] }
 
 // headerLen is the fixed envelope prefix: magic + version + kind + length
 // + CRC.
@@ -207,13 +224,13 @@ func (st *RunState) Resume() (*Resumed, error) {
 	case st.Single != nil && st.Sharded == nil:
 		e := sim.NewSingle(prof, s, opt)
 		if err := e.Restore(st.Single); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 		r.Single = e
 	case st.Sharded != nil && st.Single == nil:
 		e := sim.NewSharded(prof, s, opt, so)
 		if err := e.Restore(st.Sharded); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 		r.Sharded = e
 	default:
@@ -234,9 +251,13 @@ func btoi(b bool) int {
 // versioned, checksummed envelope. Other packages (crashfuzz) reuse it for
 // their own snapshot families.
 func WriteEnvelope(w io.Writer, kind uint32, payload []byte) error {
+	v := Version(kind)
+	if v == 0 {
+		return fmt.Errorf("snapshot: unknown payload kind %d", kind)
+	}
 	hdr := make([]byte, headerLen)
 	copy(hdr, magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], Version)
+	binary.LittleEndian.PutUint32(hdr[8:], v)
 	binary.LittleEndian.PutUint32(hdr[12:], kind)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[24:], crc32.ChecksumIEEE(payload))
@@ -252,7 +273,9 @@ func WriteEnvelope(w io.Writer, kind uint32, payload []byte) error {
 // ReadEnvelope validates the envelope and returns the payload bytes. It
 // never panics on malformed input; every failure wraps one of the Err*
 // sentinels (a kind mismatch wraps ErrCorrupt: the envelope was intact but
-// wraps a different state family).
+// wraps a different state family). The kind is checked before the
+// version, so a file of another family is named as such whatever its
+// version.
 func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
 	hdr := make([]byte, headerLen)
 	if n, err := io.ReadFull(r, hdr); err != nil {
@@ -261,11 +284,11 @@ func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
 	if !bytes.Equal(hdr[:8], magic[:]) {
 		return nil, fmt.Errorf("%w: %q", ErrBadMagic, hdr[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != Version {
-		return nil, fmt.Errorf("%w: file is v%d, reader is v%d", ErrVersion, v, Version)
-	}
 	if k := binary.LittleEndian.Uint32(hdr[12:]); k != kind {
 		return nil, fmt.Errorf("%w: payload kind %d, want %d", ErrCorrupt, k, kind)
+	}
+	if v, want := binary.LittleEndian.Uint32(hdr[8:]), Version(kind); v != want {
+		return nil, fmt.Errorf("%w: kind %d file is v%d, reader is v%d", ErrVersion, kind, v, want)
 	}
 	plen := binary.LittleEndian.Uint64(hdr[16:])
 	// LimitReader bounds the allocation to what the stream actually holds,
@@ -315,12 +338,18 @@ func Read(r io.Reader) (*RunState, error) {
 // mid-save can never destroy the previous good checkpoint — the whole
 // point of keeping one.
 func SaveFile(path string, st *RunState) error {
+	return saveAtomic(path, func(w io.Writer) error { return Write(w, st) })
+}
+
+// saveAtomic streams write's output into a temporary file next to path
+// and renames it over path once it is fully written and closed.
+func saveAtomic(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	tmp := f.Name()
-	if err := Write(f, st); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"steins/internal/memctrl"
 	"steins/internal/metrics"
 	"steins/internal/nvmem"
 	"steins/internal/sim"
@@ -363,7 +364,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 	good := buf.Bytes()
 
 	wrongVersion := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(wrongVersion[8:], Version+1)
+	binary.LittleEndian.PutUint32(wrongVersion[8:], Version(KindRun)+1)
 	badMagic := append([]byte(nil), good...)
 	badMagic[0] ^= 0xFF
 	lyingLength := append([]byte(nil), good...)
@@ -553,5 +554,85 @@ func TestDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("two captures of the same state produced different bytes (%d vs %d)", a.Len(), b.Len())
+	}
+}
+
+// MalformedColumns cut one column of a controller image short (or, for
+// the stuck overlays, describe an overlay whose value column is missing;
+// for the address columns, break their range or order), each naming the
+// column Restore must report. Every case leaves the payload gob-decodable
+// and CRC-valid, so only the column check stands between it and a panic
+// or a half-restored device. Exported for the server-checkpoint tests of
+// the external test package.
+var MalformedColumns = []struct {
+	Name, Column string
+	Cut          func(*memctrl.ControllerState)
+}{
+	{"line-data", "LineData", func(c *memctrl.ControllerState) { c.Device.LineData = short(c.Device.LineData) }},
+	{"line-addrs", "LineData", func(c *memctrl.ControllerState) { c.Device.LineAddrs = short(c.Device.LineAddrs) }},
+	{"line-addr-range", "LineAddrs", func(c *memctrl.ControllerState) { c.Device.LineAddrs[len(c.Device.LineAddrs)-1] = 1 << 62 }},
+	{"wear-counts", "WearCounts", func(c *memctrl.ControllerState) { c.Device.WearCounts = short(c.Device.WearCounts) }},
+	{"stuck-val", "StuckVal", func(c *memctrl.ControllerState) {
+		c.Device.StuckAddrs = []uint64{0}
+		c.Device.StuckMask = make([]byte, nvmem.LineSize)
+		c.Device.StuckVal = nil
+	}},
+	{"banks", "Banks", func(c *memctrl.ControllerState) { c.Device.Banks = short(c.Device.Banks) }},
+	{"tag-macs", "TagMACs", func(c *memctrl.ControllerState) { c.TagMACs = short(c.TagMACs) }},
+	{"tag-hints", "TagHints", func(c *memctrl.ControllerState) { c.TagHints = short(c.TagHints) }},
+	{"tag-written", "TagWritten", func(c *memctrl.ControllerState) { c.TagWritten = short(c.TagWritten) }},
+	{"tag-addr-order", "TagAddrs", func(c *memctrl.ControllerState) { c.TagAddrs[0], c.TagAddrs[1] = c.TagAddrs[1], c.TagAddrs[0] }},
+}
+
+// short drops a column's last entry.
+func short[T any](col []T) []T { return col[:len(col)-1] }
+
+// TestResumeRejectsMalformedColumns feeds Resume CRC-valid run snapshots
+// whose controller image has one malformed column: each must fail with an
+// error wrapping ErrCorrupt and the typed *nvmem.StateError naming the
+// column, never panic.
+func TestResumeRejectsMalformedColumns(t *testing.T) {
+	h := testHeader("Steins-GC", 1, 200)
+	prof, _ := trace.ByName(h.Workload)
+	s, _ := sim.SchemeByName(h.Scheme)
+	opt, _ := h.Options()
+	e := sim.NewSingle(prof, s, opt)
+	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
+	if _, err := e.DriveN(g, 150); err != nil {
+		t.Fatalf("drive: %v", err)
+	}
+	st, err := CaptureSingle(h, g, e)
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	var good bytes.Buffer
+	if err := Write(&good, st); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for _, tc := range MalformedColumns {
+		tc := tc
+		t.Run(tc.Name, func(t *testing.T) {
+			bad, err := Read(bytes.NewReader(good.Bytes()))
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			tc.Cut(bad.Single.Ctrl)
+			var wire bytes.Buffer
+			if err := Write(&wire, bad); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			back, err := Read(&wire)
+			if err != nil {
+				t.Fatalf("malformed column must pass the envelope, got %v", err)
+			}
+			r, err := back.Resume()
+			if r != nil || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Resume = (%v, %v), want ErrCorrupt", r, err)
+			}
+			var se *nvmem.StateError
+			if !errors.As(err, &se) || se.Column != tc.Column {
+				t.Fatalf("error %v does not name column %s", err, tc.Column)
+			}
+		})
 	}
 }
